@@ -1069,7 +1069,7 @@ let partition_hash r =
       ((h * 33) + Char.code c) land 0x3FFFFFFF)
     5381 r.Engine.outcomes
 
-(* Packed-Bytes interning (the [Explicit.build] hot path) against the
+(* Packed [State.Set] interning (the [Explicit.build] hot path) against the
    pre-rewrite string-keyed table, on an identical deterministic lookup
    stream with a realistic hit rate. *)
 let intern_bench () =
@@ -1109,11 +1109,8 @@ let intern_bench () =
       stream
   in
   let packed_run () =
-    let it = Explicit.Intern.create ~n_nodes in
-    Array.iter
-      (fun s ->
-        ignore (Explicit.Intern.intern it ~guard:Satg_guard.Guard.none s))
-      stream
+    let set = State.Set.create ~words:(State.words n_nodes) () in
+    Array.iter (fun s -> ignore (State.Set.add set (State.of_bools s))) stream
   in
   let string_seconds = time_thunk string_run in
   let packed_seconds = time_thunk packed_run in

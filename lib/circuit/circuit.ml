@@ -1,9 +1,29 @@
+open Satg_logic
+
 type node =
   | Env
   | Gate of {
       func : Gatefunc.t;
       fanin : int array;
     }
+
+(* A gate compiled to masks over packed-state words (see [State]):
+   [ws.(j)] is a word index and [ms.(j)] the fanin bits read in it. *)
+type op =
+  | Op_env
+  | Op_const of bool
+  | Op_lit of { w : int; m : int; neg : bool }  (** BUF / NOT *)
+  | Op_all of { ws : int array; ms : int array; neg : bool }  (** AND / NAND *)
+  | Op_any of { ws : int array; ms : int array; neg : bool }  (** OR / NOR *)
+  | Op_parity of { ws : int array; ms : int array; neg : bool }
+      (** XOR / XNOR; a pin read twice cancels out of its mask *)
+  | Op_mux of { sw : int; sm : int; aw : int; am : int; bw : int; bm : int }
+  | Op_celem of { ws : int array; ms : int array; self_w : int; self_m : int }
+  | Op_sop of {
+      cw : int array array;
+      care : int array array;
+      value : int array array;
+    }  (** per satisfiable cube: words, care bits, required values *)
 
 type t = {
   name : string;
@@ -14,9 +34,126 @@ type t = {
   outputs : int array;
   gate_ids : int array;
   fanout : int list array;  (* gate readers of each node *)
+  prog : op array;  (* per node, compiled eagerly: Lazy is not domain-safe *)
+  affected : int array array;
+      (* per node: the gates whose excitation can change when it does *)
   by_name : (string, int) Hashtbl.t;
   initial : bool array option;
 }
+
+(* ------------------------------------------------------------------ *)
+(* Gate program                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Per-word masks of a node list, words in order of first appearance;
+   [combine] merges a node's bit into its word's mask. *)
+let group combine nodes =
+  let acc = ref [] in
+  List.iter
+    (fun i ->
+      let w = State.word i and b = State.mask i in
+      acc :=
+        if List.mem_assoc w !acc then
+          List.map
+            (fun (w', m) -> if w' = w then (w', combine m b) else (w', m))
+            !acc
+        else (w, b) :: !acc)
+    nodes;
+  let l = List.rev !acc in
+  (Array.of_list (List.map fst l), Array.of_list (List.map snd l))
+
+(* A cube as (word, care, value) triples; [None] when two pins read the
+   same node with opposite literals. *)
+let compile_cube fanin cube =
+  let rec go acc p =
+    if p = Array.length fanin then Some (List.rev acc)
+    else
+      match Cube.lit cube p with
+      | Cube.D -> go acc (p + 1)
+      | (Cube.T | Cube.F) as l -> (
+        let w = State.word fanin.(p) and b = State.mask fanin.(p) in
+        let v = if l = Cube.T then b else 0 in
+        match List.assoc_opt w acc with
+        | Some (care, value) ->
+          if care land b <> 0 then
+            if value land b = v then go acc (p + 1) else None
+          else
+            go
+              ((w, (care lor b, value lor v)) :: List.remove_assoc w acc)
+              (p + 1)
+        | None -> go ((w, (b, v)) :: acc) (p + 1))
+  in
+  go [] 0
+
+let compile_gate gid func fanin =
+  let pins = Array.to_list fanin in
+  let lit i = (State.word i, State.mask i) in
+  match (func : Gatefunc.t) with
+  | Buf | Not ->
+    let w, m = lit fanin.(0) in
+    Op_lit { w; m; neg = func = Not }
+  | And | Nand ->
+    let ws, ms = group ( lor ) pins in
+    Op_all { ws; ms; neg = func = Nand }
+  | Or | Nor ->
+    let ws, ms = group ( lor ) pins in
+    Op_any { ws; ms; neg = func = Nor }
+  | Xor | Xnor ->
+    let ws, ms = group ( lxor ) pins in
+    Op_parity { ws; ms; neg = func = Xnor }
+  | Mux ->
+    let sw, sm = lit fanin.(0) in
+    let aw, am = lit fanin.(1) and bw, bm = lit fanin.(2) in
+    Op_mux { sw; sm; aw; am; bw; bm }
+  | Celem ->
+    let ws, ms = group ( lor ) pins in
+    let self_w, self_m = lit gid in
+    Op_celem { ws; ms; self_w; self_m }
+  | Const b -> Op_const b
+  | Sop cover ->
+    let cubes = List.filter_map (compile_cube fanin) (Cover.cubes cover) in
+    let field f =
+      Array.of_list (List.map (fun c -> Array.of_list (List.map f c)) cubes)
+    in
+    Op_sop
+      {
+        cw = field fst;
+        care = field (fun (_, (c, _)) -> c);
+        value = field (fun (_, (_, v)) -> v);
+      }
+
+let compile nodes =
+  Array.mapi
+    (fun gid -> function
+      | Env -> Op_env
+      | Gate { func; fanin } -> compile_gate gid func fanin)
+    nodes
+
+let recompute_fanout nodes =
+  let n = Array.length nodes in
+  let fanout = Array.make n [] in
+  Array.iteri
+    (fun gid node ->
+      match node with
+      | Gate { fanin; _ } ->
+        Array.iter (fun src -> fanout.(src) <- gid :: fanout.(src)) fanin
+      | Env -> ())
+    nodes;
+  Array.map List.rev fanout
+
+let compute_affected nodes fanout =
+  Array.mapi
+    (fun i readers ->
+      let self = match nodes.(i) with Gate _ -> [ i ] | Env -> [] in
+      Array.of_list (List.sort_uniq Int.compare (self @ readers)))
+    fanout
+
+(* Everything derived from the node array, rebuilt by every
+   constructor and transformation. *)
+let with_nodes t nodes =
+  let fanout = recompute_fanout nodes in
+  let affected = compute_affected nodes fanout in
+  { t with nodes; fanout; prog = compile nodes; affected }
 
 (* ------------------------------------------------------------------ *)
 (* Builder                                                             *)
@@ -120,15 +257,7 @@ module Builder = struct
            (fun i _ -> match nodes.(i) with Gate _ -> true | Env -> false)
            (List.init n Fun.id))
     in
-    let fanout = Array.make n [] in
-    Array.iter
-      (fun gid ->
-        match nodes.(gid) with
-        | Gate { fanin; _ } ->
-          Array.iter (fun src -> fanout.(src) <- gid :: fanout.(src)) fanin
-        | Env -> assert false)
-      gate_ids;
-    Array.iteri (fun i l -> fanout.(i) <- List.rev l) fanout;
+    let fanout = recompute_fanout nodes in
     {
       name = b.cname;
       nodes;
@@ -138,6 +267,8 @@ module Builder = struct
       outputs = Array.of_list (List.rev b.b_outputs);
       gate_ids;
       fanout;
+      prog = compile nodes;
+      affected = compute_affected nodes fanout;
       by_name = Hashtbl.copy b.names;
       initial = None;
     }
@@ -220,6 +351,67 @@ let apply_input_vector t s v =
 let input_vector_of_state t s = Array.map (fun env -> s.(env)) t.inputs
 let output_values t s = Array.map (fun o -> s.(o)) t.outputs
 
+(* --- packed states: the compiled gate program ------------------------ *)
+
+let words t = State.words (Array.length t.nodes)
+let affected t i = t.affected.(i)
+
+let rec all_set a off ws ms j =
+  j = Array.length ws
+  ||
+  let m = Array.unsafe_get ms j in
+  a.(off + Array.unsafe_get ws j) land m = m
+  && all_set a off ws ms (j + 1)
+
+let rec any_set a off ws ms j =
+  j < Array.length ws
+  && (a.(off + Array.unsafe_get ws j) land Array.unsafe_get ms j <> 0
+     || any_set a off ws ms (j + 1))
+
+let parity x =
+  let x = x lxor (x lsr 32) in
+  let x = x lxor (x lsr 16) in
+  let x = x lxor (x lsr 8) in
+  let x = x lxor (x lsr 4) in
+  let x = x lxor (x lsr 2) in
+  (x lxor (x lsr 1)) land 1
+
+let rec parity_of a off ws ms j acc =
+  if j = Array.length ws then acc = 1
+  else
+    parity_of a off ws ms (j + 1)
+      (acc
+      lxor parity (a.(off + Array.unsafe_get ws j) land Array.unsafe_get ms j))
+
+let rec cube_holds a off cw care value j =
+  j = Array.length cw
+  || a.(off + Array.unsafe_get cw j) land Array.unsafe_get care j
+     = Array.unsafe_get value j
+     && cube_holds a off cw care value (j + 1)
+
+let rec some_cube a off cw care value c =
+  c < Array.length cw
+  && (cube_holds a off (Array.unsafe_get cw c) (Array.unsafe_get care c)
+        (Array.unsafe_get value c) 0
+     || some_cube a off cw care value (c + 1))
+
+let bit a off w m = a.(off + w) land m <> 0
+
+let eval_packed t a off gid =
+  match t.prog.(gid) with
+  | Op_lit { w; m; neg } -> bit a off w m <> neg
+  | Op_all { ws; ms; neg } -> all_set a off ws ms 0 <> neg
+  | Op_any { ws; ms; neg } -> any_set a off ws ms 0 <> neg
+  | Op_parity { ws; ms; neg } -> parity_of a off ws ms 0 0 <> neg
+  | Op_mux { sw; sm; aw; am; bw; bm } ->
+    if bit a off sw sm then bit a off aw am else bit a off bw bm
+  | Op_celem { ws; ms; self_w; self_m } ->
+    if all_set a off ws ms 0 then true
+    else any_set a off ws ms 0 && bit a off self_w self_m
+  | Op_const b -> b
+  | Op_sop { cw; care; value } -> some_cube a off cw care value 0
+  | Op_env -> invalid_arg "Circuit.eval_packed: environment node"
+
 let state_to_string (_ : t) s =
   String.init (Array.length s) (fun i -> if s.(i) then '1' else '0')
 
@@ -241,18 +433,6 @@ let with_initial t s =
 (* Transformation                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let recompute_fanout nodes =
-  let n = Array.length nodes in
-  let fanout = Array.make n [] in
-  Array.iteri
-    (fun gid node ->
-      match node with
-      | Gate { fanin; _ } ->
-        Array.iter (fun src -> fanout.(src) <- gid :: fanout.(src)) fanin
-      | Env -> ())
-    nodes;
-  Array.map List.rev fanout
-
 let add_const_node t b =
   let n = Array.length t.nodes in
   let nodes = Array.append t.nodes [| Gate { func = Gatefunc.Const b; fanin = [||] } |] in
@@ -263,15 +443,15 @@ let add_const_node t b =
   let initial =
     Option.map (fun s -> Array.append s [| b |]) t.initial
   in
-  ( {
-      t with
-      nodes;
-      node_name;
-      by_name;
-      gate_ids = Array.append t.gate_ids [| n |];
-      fanout = recompute_fanout nodes;
-      initial;
-    },
+  ( with_nodes
+      {
+        t with
+        node_name;
+        by_name;
+        gate_ids = Array.append t.gate_ids [| n |];
+        initial;
+      }
+      nodes,
     n )
 
 let retarget_pin t ~gate ~pin target =
@@ -289,7 +469,7 @@ let retarget_pin t ~gate ~pin target =
     fanin.(pin) <- target;
     nodes.(gate) <- Gate { func; fanin }
   | Env -> assert false);
-  { t with nodes; fanout = recompute_fanout nodes }
+  with_nodes t nodes
 
 let replace_func t ~gate f =
   match t.nodes.(gate) with
@@ -305,7 +485,7 @@ let replace_func t ~gate f =
     in
     let nodes = Array.copy t.nodes in
     nodes.(gate) <- Gate { func = f; fanin };
-    { t with nodes; fanout = recompute_fanout nodes }
+    with_nodes t nodes
 
 (* ------------------------------------------------------------------ *)
 (* Validation / stats                                                  *)

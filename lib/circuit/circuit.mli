@@ -116,6 +116,26 @@ val apply_input_vector : t -> bool array -> bool array -> bool array
 val input_vector_of_state : t -> bool array -> bool array
 val output_values : t -> bool array -> bool array
 
+(** {1 Packed states}
+
+    The allocation-free side of the semantics, over {!State} words.
+    Every circuit carries a compiled gate program (built eagerly by
+    every constructor and transformation): each gate is a handful of
+    masks over the state words its fanins live in; the cubes of a
+    {!Gatefunc.Sop} gate become care/value masks. *)
+
+val words : t -> int
+(** [State.words (n_nodes c)]. *)
+
+val eval_packed : t -> int array -> int -> int -> bool
+(** [eval_packed c a off g] is {!eval_gate} of gate [g] in the packed
+    state stored at [a.(off ..)].  Allocates nothing. *)
+
+val affected : t -> int -> int array
+(** Gates whose excitation can change when the given node changes: the
+    node itself if it is a gate, and the gates reading it.  Ascending,
+    without duplicates. *)
+
 val state_to_string : t -> bool array -> string
 (** One character per node, ['0'] / ['1'], in node-id order. *)
 

@@ -69,17 +69,15 @@ let find_test_sync ~max_depth ~max_states guard good_model fault_model f0 good0
     =
   let c = good_model.sc in
   let vectors = all_vectors (Circuit.n_inputs c) in
-  let key g fs =
-    Circuit.state_to_string c g ^ "|" ^ Circuit.state_to_string fault_model.sc fs
-  in
+  let key g fs = Array.append (State.of_bools g) (State.of_bools fs) in
   let differs g fs =
     Circuit.output_values c g <> Circuit.output_values fault_model.sc fs
   in
   if differs good0 f0 then Some []
   else begin
-    let seen = Hashtbl.create 256 in
+    let seen = State.Tbl.create 256 in
     let queue = Queue.create () in
-    Hashtbl.replace seen (key good0 f0) ();
+    State.Tbl.replace seen (key good0 f0) ();
     Queue.add (good0, f0, [], 0) queue;
     let result = ref None in
     while !result = None && not (Queue.is_empty queue) do
@@ -87,15 +85,15 @@ let find_test_sync ~max_depth ~max_states guard good_model fault_model f0 good0
       if depth < max_depth then
         List.iter
           (fun v ->
-            if !result = None && Hashtbl.length seen < max_states then begin
+            if !result = None && State.Tbl.length seen < max_states then begin
               Guard.spend_transition guard;
               let g' = sync_step good_model g v in
               let fs' = sync_step fault_model fs v in
               if differs g' fs' then result := Some (List.rev (v :: path))
               else begin
                 let k = key g' fs' in
-                if not (Hashtbl.mem seen k) then begin
-                  Hashtbl.replace seen k ();
+                if not (State.Tbl.mem seen k) then begin
+                  State.Tbl.replace seen k ();
                   Queue.add (g', fs', v :: path, depth + 1) queue
                 end
               end
@@ -132,7 +130,7 @@ let unit_delay_validates good fc reset freset seq =
 
 let run ?(max_depth = 24) ?(max_states = 20_000) ?(guard = Guard.none) circuit
     ~cssg ~faults =
-  let t0 = Sys.time () in
+  let t0 = Guard.now () in
   let reset =
     match Circuit.initial circuit with
     | Some s -> s
@@ -196,7 +194,7 @@ let run ?(max_depth = 24) ?(max_states = 20_000) ?(guard = Guard.none) circuit
       (fun c -> { c with truly_detects = Hashtbl.mem truly c.fault })
       claims
   in
-  { circuit; claims; cpu_seconds = Sys.time () -. t0 }
+  { circuit; claims; cpu_seconds = Guard.now () -. t0 }
 
 let claimed r =
   List.length (List.filter (fun c -> c.sequence <> None) r.claims)

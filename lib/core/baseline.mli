@@ -30,7 +30,7 @@ type claim = {
 type result = {
   circuit : Circuit.t;
   claims : claim list;
-  cpu_seconds : float;
+  cpu_seconds : float;  (** wall-clock seconds ({!Satg_guard.Guard.now}) *)
 }
 
 val run :

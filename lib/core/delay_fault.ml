@@ -19,23 +19,6 @@ let to_string c f =
     (Circuit.node_name c f.gate)
     (if f.slow_to then "rise" else "fall")
 
-(* The delayed machine: the faulty gate never completes a transition to
-   [slow_to] within a cycle. *)
-let can_fire c f s g =
-  not (g = f.gate && Circuit.eval_gate c s g = f.slow_to && s.(g) <> f.slow_to)
-
-let dedup c states =
-  let seen = Hashtbl.create 16 in
-  List.filter
-    (fun s ->
-      let key = Circuit.state_to_string c s in
-      if Hashtbl.mem seen key then false
-      else begin
-        Hashtbl.replace seen key ();
-        true
-      end)
-    states
-
 let step ~max_set g f states v =
   let c = Cssg.circuit g in
   let k = Cssg.k g in
@@ -44,14 +27,16 @@ let step ~max_set g f states v =
     List.iter
       (fun s ->
         let s1 = Circuit.apply_input_vector c s v in
+        (* The delayed machine: the faulty gate never completes a
+           transition to [slow_to] within a cycle. *)
         let finals =
-          Async_sim.states_after ~max_frontier:max_set ~can_fire:(can_fire c f)
-            c ~k s1
+          Async_sim.states_after ~max_frontier:max_set
+            ~hold:(f.gate, f.slow_to) c ~k s1
         in
         out := finals @ !out;
         if List.length !out > 8 * max_set then raise Async_sim.Frontier_limit)
       states;
-    let deduped = dedup c !out in
+    let deduped = State.dedup !out in
     if List.length deduped > max_set then None else Some deduped
   with Async_sim.Frontier_limit -> None
 
@@ -69,22 +54,16 @@ let start g =
   | Some s -> [ s ]
   | None -> invalid_arg "Delay_fault: circuit has no reset state"
 
-
-let set_key c states =
-  List.map (Circuit.state_to_string c) states
-  |> List.sort Stdlib.compare |> String.concat "|"
-
 let find_test ?(max_depth = 24) ?(max_states = 4_000) ?(max_set = 128)
     ?(guard = Guard.none) g f =
   Guard.check_time guard;
-  let c = Cssg.circuit g in
   let seen = Hashtbl.create 256 in
   let queue = Queue.create () in
   let result = ref None in
   (match Cssg.initial g with
   | i :: _ ->
     let f0 = start g in
-    Hashtbl.replace seen (i, set_key c f0) ();
+    Hashtbl.replace seen (i, State.set_key f0) ();
     Queue.add (i, f0, [], 0) queue
   | [] -> ());
   while !result = None && not (Queue.is_empty queue) do
@@ -101,7 +80,7 @@ let find_test ?(max_depth = 24) ?(max_states = 4_000) ?(max_set = 128)
               if differs g j fsts' then
                 result := Some (List.rev (e.Cssg.vector :: path))
               else begin
-                let key = (j, set_key c fsts') in
+                let key = (j, State.set_key fsts') in
                 if not (Hashtbl.mem seen key) then begin
                   Hashtbl.replace seen key ();
                   Queue.add (j, fsts', e.Cssg.vector :: path, depth + 1) queue
@@ -143,7 +122,7 @@ type result = {
 }
 
 let run ?max_depth ?max_states ?(guard = Guard.none) g =
-  let t0 = Sys.time () in
+  let t0 = Guard.now () in
   let c = Cssg.circuit g in
   let outcomes =
     List.map
@@ -157,7 +136,7 @@ let run ?max_depth ?max_states ?(guard = Guard.none) g =
         | Error reason -> (f, Aborted reason))
       (universe c)
   in
-  { circuit = c; outcomes; cpu_seconds = Sys.time () -. t0 }
+  { circuit = c; outcomes; cpu_seconds = Guard.now () -. t0 }
 
 let detected r =
   List.length

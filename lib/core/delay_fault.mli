@@ -57,7 +57,7 @@ type status =
 type result = {
   circuit : Circuit.t;
   outcomes : (t * status) list;
-  cpu_seconds : float;
+  cpu_seconds : float;  (** wall-clock seconds ({!Satg_guard.Guard.now}) *)
 }
 
 val run : ?max_depth:int -> ?max_states:int -> ?guard:Guard.t -> Cssg.t -> result

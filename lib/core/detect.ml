@@ -119,28 +119,16 @@ type machine = {
   fc : Circuit.t;
   k : int;
   max_set : int;
-  memo : (string, bool array list option) Hashtbl.t;
-      (* "<state>|<vector>" -> k-step frontier (None = blow-up) *)
+  memo : bool array list option State.Tbl.t;
+      (* state after the vector -> k-step frontier (None = blow-up) *)
 }
-
-let dedup_states c states =
-  let seen = Hashtbl.create 16 in
-  List.filter
-    (fun s ->
-      let k = Circuit.state_to_string c s in
-      if Hashtbl.mem seen k then false
-      else begin
-        Hashtbl.replace seen k ();
-        true
-      end)
-    states
 
 let exact_start ?(max_set = 128) g f =
   let good = Cssg.circuit g in
   let reset = reset_of g in
   let fc = Fault.inject good f in
   let init = Fault.initial_faulty_state good f reset in
-  let m = { fc; k = Cssg.k g; max_set; memo = Hashtbl.create 256 } in
+  let m = { fc; k = Cssg.k g; max_set; memo = State.Tbl.create 256 } in
   let start =
     try Async_sim.states_after ~max_frontier:max_set fc ~k:m.k init
     with Async_sim.Frontier_limit -> []
@@ -149,27 +137,25 @@ let exact_start ?(max_set = 128) g f =
   in
   (m, start)
 
+(* The k-step frontier depends only on the state once the vector is
+   applied, so that state is the memo key. *)
 let step_one m s v =
-  let key =
-    Circuit.state_to_string m.fc s ^ "|"
-    ^ String.init (Array.length v) (fun i -> if v.(i) then '1' else '0')
-  in
-  match Hashtbl.find_opt m.memo key with
+  let s1 = Circuit.apply_input_vector m.fc s v in
+  let key = State.of_bools s1 in
+  match State.Tbl.find_opt m.memo key with
   | Some r -> r
   | None ->
     let r =
-      try
-        let s1 = Circuit.apply_input_vector m.fc s v in
-        Some (Async_sim.states_after ~max_frontier:m.max_set m.fc ~k:m.k s1)
+      try Some (Async_sim.states_after ~max_frontier:m.max_set m.fc ~k:m.k s1)
       with Async_sim.Frontier_limit -> None
     in
-    Hashtbl.replace m.memo key r;
+    State.Tbl.replace m.memo key r;
     r
 
 let exact_apply m states v =
   let rec go acc count = function
     | [] ->
-      let deduped = dedup_states m.fc acc in
+      let deduped = State.dedup acc in
       if List.length deduped > m.max_set then None else Some deduped
     | s :: rest -> (
       match step_one m s v with

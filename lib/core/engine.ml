@@ -61,7 +61,7 @@ type result = {
 
 let run ?(config = default_config) ?cssg ?guard ?pool ?settled ?on_outcome
     circuit ~faults =
-  let t0 = Sys.time () in
+  let t0 = Guard.now () in
   (* Structural fault collapsing: every phase searches one
      representative per equivalence class; afterwards each given fault
      inherits its representative's outcome.  Equivalent faults yield
@@ -320,7 +320,7 @@ let run ?(config = default_config) ?cssg ?guard ?pool ?settled ?on_outcome
     circuit;
     cssg = g;
     outcomes;
-    cpu_seconds = Sys.time () -. t0;
+    cpu_seconds = Guard.now () -. t0;
     faults_searched = List.length targets;
     (* sampled after all phases, so justification traffic is included *)
     bdd_stats = Option.map Symbolic.bdd_stats symbolic;

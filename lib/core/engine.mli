@@ -71,6 +71,8 @@ type result = {
           representative's outcome (equivalent faults are detected by
           exactly the same tests, so the expansion is sound) *)
   cpu_seconds : float;
+      (** wall-clock seconds of the run ({!Satg_guard.Guard.now}), the
+          same under every [-j]; the name is the store codec's *)
   faults_searched : int;
       (** class representatives the phases actually targeted; equals
           [total] when [config.collapse] was off or found nothing to

@@ -103,10 +103,6 @@ let justify t guard target =
   in
   try_frame 0
 
-let set_key c fstates =
-  List.map (Circuit.state_to_string c) fstates
-  |> List.sort Stdlib.compare |> String.concat "|"
-
 (* Ring-synchronized product unrolling.  Invariant: when the step-t
    clauses are emitted, every product state of distance <= t+1 and
    every edge leaving distance <= t already exists — and a path
@@ -125,7 +121,6 @@ let set_key c fstates =
    exactly the pre-incremental behaviour. *)
 let differentiate t guard config fm ~start ~fstates =
   let g = t.g in
-  let c = Cssg.circuit g in
   let cr = core t in
   let sat, act, defs, l0 =
     if t.incremental then begin
@@ -143,7 +138,7 @@ let differentiate t guard config fm ~start ~fstates =
   let evec = Hashtbl.create 256 in (* unroller edge id -> vector *)
   let capped = ref false in
   let register i fsts =
-    let k = (i, set_key c fsts) in
+    let k = (i, State.set_key fsts) in
     match Hashtbl.find_opt key2pid k with
     | Some pid -> Some (pid, false)
     | None ->

@@ -53,7 +53,8 @@ val faults_of : Circuit.t -> universe -> Fault.t list
 type summary = {
   faults_searched : int;
   truncated : Guard.reason option;
-  cpu_seconds : float;  (** of the run that produced the summary *)
+  cpu_seconds : float;
+      (** wall-clock seconds of the run that produced the summary *)
   stats_line : string;  (** rendered [Cssg.pp_stats] (single line) *)
   outcomes : (Fault.t * Testset.status) list;
 }

@@ -67,20 +67,15 @@ let replay_prefix guard g fm f0 prefix =
   | i :: _ -> go i f0 [] prefix
   | [] -> `Abort
 
-let set_key c fstates =
-  List.map (Circuit.state_to_string c) fstates
-  |> List.sort Stdlib.compare |> String.concat "|"
-
 (* Differentiation: BFS over (good state, exact faulty-state set).
    Hitting [max_product_states] is fail-soft: edges to known states and
    difference checks still run, but once the frontier was truncated a
    "no result" answer is no longer trustworthy, so it degrades like any
    other guard trip instead of reporting undetectable. *)
 let differentiate config guard g fm start_good fstates prefix =
-  let c = Cssg.circuit g in
   let seen = Hashtbl.create 256 in
   let queue = Queue.create () in
-  Hashtbl.replace seen (start_good, set_key c fstates) ();
+  Hashtbl.replace seen (start_good, State.set_key fstates) ();
   Queue.add (start_good, fstates, [], 0) queue;
   let result = ref None in
   let capped = ref false in
@@ -98,7 +93,7 @@ let differentiate config guard g fm start_good fstates prefix =
               if Detect.exact_differs g j fm fsts' then
                 result := Some (List.rev (e.Cssg.vector :: path))
               else begin
-                let k = (j, set_key c fsts') in
+                let k = (j, State.set_key fsts') in
                 if not (Hashtbl.mem seen k) then
                   if Hashtbl.length seen >= config.max_product_states then
                     capped := true

@@ -57,8 +57,10 @@ let none = make { deadline = None; max_states = None; max_transitions = None }
    lets a SIGINT handler stop an otherwise unlimited run. *)
 let inert t = t == none
 
+let now = Unix.gettimeofday
+
 let create ?timeout ?max_states ?max_transitions () =
-  let deadline = Option.map (fun s -> Unix.gettimeofday () +. s) timeout in
+  let deadline = Option.map (fun s -> now () +. s) timeout in
   make { deadline; max_states; max_transitions }
 
 let sub ?max_states ?max_transitions t =
@@ -100,7 +102,7 @@ let check_time t =
     retrip t;
     inject_probe t;
     match t.limits.deadline with
-    | Some d when Unix.gettimeofday () > d -> trip t Timeout
+    | Some d when now () > d -> trip t Timeout
     | _ -> ()
   end
 

@@ -45,6 +45,11 @@ val none : t
     fault-injection harness), which is what lets a signal handler stop
     an otherwise unlimited run. *)
 
+val now : unit -> float
+(** Wall-clock seconds, on the basis the deadline of {!create}'s
+    [timeout] is measured in.  Run timings use it too: unlike
+    [Sys.time], it does not add up the CPU time of every domain. *)
+
 val create :
   ?timeout:float -> ?max_states:int -> ?max_transitions:int -> unit -> t
 (** [timeout] is in wall-clock seconds {e from now}; the deadline is

@@ -10,7 +10,7 @@ type t = {
   circuit : Circuit.t;
   k : int;
   states : bool array array;
-  index : (string, int) Hashtbl.t;
+  index : State.Set.t;  (* entry index = state id *)
   succ : edge list array;
   initial : int list;
   deterministic : bool array;
@@ -42,10 +42,8 @@ let make ?truncated ~circuit ~k ~states ~succ ~initial () =
             invalid_arg "Cssg.make: bad edge target")
         edges)
     succ;
-  let index = Hashtbl.create (max 16 n) in
-  Array.iteri
-    (fun i s -> Hashtbl.replace index (Circuit.state_to_string circuit s) i)
-    states;
+  let index = State.Set.create ~words:(Circuit.words circuit) () in
+  Array.iter (fun s -> ignore (State.Set.add index (State.of_bools s))) states;
   {
     circuit;
     k;
@@ -65,7 +63,7 @@ let n_edges t = Array.fold_left (fun acc es -> acc + List.length es) 0 t.succ
 let state t i = Array.copy t.states.(i)
 
 let id_of_state t s =
-  Hashtbl.find_opt t.index (Circuit.state_to_string t.circuit s)
+  match State.Set.find t.index (State.of_bools s) with -1 -> None | i -> Some i
 
 let initial t = t.initial
 let successors t i = t.succ.(i)

@@ -3,61 +3,31 @@ open Satg_circuit
 open Satg_sim
 open Satg_pool
 
-(* --- packed state interning ------------------------------------------------ *)
+(* --- state interning -------------------------------------------------------- *)
 
-(* The intern path used to format every probed state into a string
-   ([Circuit.state_to_string]) just to use it as a Hashtbl key — one
-   byte per node plus an allocation per *lookup*.  States are packed
-   into a bit-per-node [Bytes] scratch buffer instead: lookups reuse
-   the scratch (zero allocation when the state is already known) and
-   only a fresh intern copies the key. *)
+(* A state's id is its entry index in a packed [State.Set]. *)
 module Intern = struct
   type t = {
-    scratch : Bytes.t;
-    index : (Bytes.t, int) Hashtbl.t;
+    set : State.Set.t;
     mutable rev_states : bool array list;
-    mutable count : int;
   }
 
-  let create ~n_nodes =
-    {
-      scratch = Bytes.make ((n_nodes + 7) lsr 3) '\000';
-      index = Hashtbl.create 64;
-      rev_states = [];
-      count = 0;
-    }
-
-  (* One store per eight nodes: each output byte is accumulated in a
-     register, so there is no clear pass and no read-modify-write. *)
-  let pack_into buf s =
-    let n = Array.length s in
-    for byte = 0 to Bytes.length buf - 1 do
-      let base = byte lsl 3 in
-      let stop = min 8 (n - base) in
-      let v = ref 0 in
-      for bit = 0 to stop - 1 do
-        if Array.unsafe_get s (base + bit) then v := !v lor (1 lsl bit)
-      done;
-      Bytes.unsafe_set buf byte (Char.unsafe_chr !v)
-    done
+  let create c =
+    { set = State.Set.create ~words:(Circuit.words c) (); rev_states = [] }
 
   (* Spend before registering, so a truncated graph never holds more
      than [max_states] states and every recorded edge points at a
      registered state.  The first state (reset) is exempt: even a
      zero-budget build yields a valid one-state graph. *)
   let intern t ~guard s =
-    pack_into t.scratch s;
-    match Hashtbl.find_opt t.index t.scratch with
-    | Some i -> (i, false)
-    | None ->
-      if t.count > 0 then Guard.spend_state guard;
-      let i = t.count in
-      t.count <- i + 1;
-      Hashtbl.replace t.index (Bytes.copy t.scratch) i;
+    let key = State.of_bools s in
+    match State.Set.find t.set key with
+    | -1 ->
+      if State.Set.count t.set > 0 then Guard.spend_state guard;
       t.rev_states <- s :: t.rev_states;
-      (i, true)
+      (State.Set.add t.set key, true)
+    | i -> (i, false)
 
-  let count t = t.count
   let states t = Array.of_list (List.rev t.rev_states)
 end
 
@@ -120,7 +90,7 @@ let build ?k ?(exploration = `Hybrid) ?(max_frontier = 20_000)
   let reset = check_reset c in
   let n_in = Circuit.n_inputs c in
   let n_vec = 1 lsl n_in in
-  let it = Intern.create ~n_nodes:(Circuit.n_nodes c) in
+  let it = Intern.create c in
   let edges = Hashtbl.create 64 in
   let queue = Queue.create () in
   let enqueue s =
@@ -200,7 +170,7 @@ let build_par ?k ?(exploration = `Hybrid) ?(max_frontier = 20_000)
   let reset = check_reset c in
   let n_in = Circuit.n_inputs c in
   let n_vec = 1 lsl n_in in
-  let it = Intern.create ~n_nodes:(Circuit.n_nodes c) in
+  let it = Intern.create c in
   let edges = Hashtbl.create 64 in
   let queue = Queue.create () in
   let enqueue s =

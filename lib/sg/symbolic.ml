@@ -566,11 +566,10 @@ let justify t ~target =
 let to_cssg t =
   let m = t.man in
   let states = Array.of_list (enumerate_states t t.reachable) in
-  let index = Hashtbl.create 64 in
-  Array.iteri
-    (fun i s -> Hashtbl.replace index (Circuit.state_to_string t.circuit s) i)
-    states;
-  let id_of s = Hashtbl.find index (Circuit.state_to_string t.circuit s) in
+  (* [enumerate_states] yields distinct states: entry index = id *)
+  let index = State.Set.create ~words:(Circuit.words t.circuit) () in
+  Array.iter (fun s -> ignore (State.Set.add index (State.of_bools s))) states;
+  let id_of s = State.Set.find index (State.of_bools s) in
   let succ =
     Array.map
       (fun s ->

@@ -4,7 +4,16 @@
     firing one excited gate at a time ([R_delta] in the paper); all
     interleavings are explored.  This is the reference semantics the
     CSSG is built from, and also the oracle the ternary simulator is
-    tested against. *)
+    tested against.
+
+    One packed-state kernel implements it.  States are {!State} words;
+    each layer's frontier is a {!State.Set} whose entries carry the
+    excitation mask of their state, so firing gate [g] re-evaluates
+    only [g] and the gates reading it ({!Circuit.affected}), never the
+    whole netlist.  The frontier sets are per-domain scratch reused
+    across layers and calls (safe on {!Satg_pool} workers).  Every
+    function below charges its guard one transition per frontier state
+    per layer and returns states in lexicographic node order. *)
 
 open Satg_guard
 open Satg_circuit
@@ -26,7 +35,7 @@ exception Frontier_limit
 
 val states_after :
   ?max_frontier:int ->
-  ?can_fire:(bool array -> int -> bool) ->
+  ?hold:int * bool ->
   ?guard:Guard.t ->
   Circuit.t ->
   k:int ->
@@ -36,9 +45,10 @@ val states_after :
     {e exactly} [k] firings, where stable states self-loop (paper's
     [TCR_k] frontier).  Sorted lexicographically.
 
-    [can_fire s g] may veto individual transitions (used to model
-    delay faults: a slow gate's transition is suppressed); a state
-    whose every excited gate is vetoed behaves as stable.
+    [hold = (g, v)] vetoes every transition of gate [g] to value [v]
+    (a gross delay fault: the slow gate never completes it within the
+    cycle); a state whose every excited gate is vetoed behaves as
+    stable.
 
     [guard] is charged one transition per frontier state per layer.
     @raise Frontier_limit when some layer grows beyond [max_frontier]
@@ -59,8 +69,9 @@ val reachable_stable_states :
   Circuit.t -> k:int -> from:bool array list -> bool array list
 (** All stable states reachable in test mode when {e every} input
     vector (valid or not) may be applied; the union of all settling
-    results.  Used by fault activation to know where signals can rest.
-    Bounded exploration: states are accumulated to a fixed point. *)
+    results.  No engine calls it: it is the exhaustive sweep the tests
+    and the CSSG walkthrough example compare a CSSG against.  Bounded
+    exploration: states are accumulated to a fixed point. *)
 
 type classification =
   | C_settles of bool array  (** unique stable outcome within budget *)

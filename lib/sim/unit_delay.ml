@@ -12,12 +12,12 @@ let step c s =
   s'
 
 let run c ~max_steps s =
-  let seen = Hashtbl.create 64 in
+  let seen = State.Tbl.create 64 in
   let rec go i s trace =
     if Circuit.is_stable c s then Settled (s, i)
     else
-      let k = Circuit.state_to_string c s in
-      match Hashtbl.find_opt seen k with
+      let k = State.of_bools s in
+      match State.Tbl.find_opt seen k with
       | Some j ->
         (* States from step j onwards repeat. *)
         let cycle =
@@ -27,7 +27,7 @@ let run c ~max_steps s =
       | None ->
         if i >= max_steps then Oscillates (List.rev trace)
         else begin
-          Hashtbl.replace seen k i;
+          State.Tbl.replace seen k i;
           go (i + 1) (step c s) (s :: trace)
         end
   in
