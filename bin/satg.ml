@@ -185,9 +185,12 @@ let stats_arg =
     value & flag
     & info [ "stats" ]
         ~doc:
-          "Print BDD-manager statistics (node counts, unique-table load, \
-           per-op cache hit/miss) after the run.  Only the symbolic engine \
-           has a BDD manager to report on.")
+          "Print engine statistics after the run: BDD-manager statistics \
+           (node counts, unique-table load, per-op cache hit/miss) for a \
+           BDD engine, solver statistics for the SAT engine, and for \
+           $(b,cssg) on the explicit engine the settle kernel's counters \
+           (successor probes, fresh entries, sleep-pruned firings, summed \
+           over every domain under $(b,-j)).")
 
 let cssg_cmd =
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE.cct") in
@@ -224,7 +227,8 @@ let cssg_cmd =
     (if stats then
        match bdd_stats with
        | Some s -> Format.printf "%a@." Satg_bdd.Bdd.pp_stats s
-       | None -> Format.printf "bdd stats: n/a (explicit engine)@.");
+       | None -> Format.printf "%a@." Satg_sim.Async_sim.pp_stats
+           (Satg_sim.Async_sim.stats ()));
     if Cssg.truncated g <> None then exit exit_partial
   in
   Cmd.v

@@ -37,6 +37,9 @@ type t = {
   prog : op array;  (* per node, compiled eagerly: Lazy is not domain-safe *)
   affected : int array array;
       (* per node: the gates whose excitation can change when it does *)
+  dependent : int array array;
+      (* per gate: (word, bits) pairs of the gates whose firing does not
+         commute with its own *)
   by_name : (string, int) Hashtbl.t;
   initial : bool array option;
 }
@@ -148,12 +151,33 @@ let compute_affected nodes fanout =
       Array.of_list (List.sort_uniq Int.compare (self @ readers)))
     fanout
 
+(* A gate, the gates reading it and the gates it reads, as per-word
+   masks flattened into (word, bits) pairs; empty for an environment
+   node, which never fires. *)
+let compute_dependent nodes fanout =
+  Array.mapi
+    (fun i readers ->
+      match nodes.(i) with
+      | Env -> [||]
+      | Gate { fanin; _ } ->
+        let fanin_gates =
+          List.filter
+            (fun f -> match nodes.(f) with Gate _ -> true | Env -> false)
+            (Array.to_list fanin)
+        in
+        let ws, ms = group ( lor ) ((i :: readers) @ fanin_gates) in
+        Array.init
+          (2 * Array.length ws)
+          (fun x -> if x land 1 = 0 then ws.(x / 2) else ms.(x / 2)))
+    fanout
+
 (* Everything derived from the node array, rebuilt by every
    constructor and transformation. *)
 let with_nodes t nodes =
   let fanout = recompute_fanout nodes in
   let affected = compute_affected nodes fanout in
-  { t with nodes; fanout; prog = compile nodes; affected }
+  let dependent = compute_dependent nodes fanout in
+  { t with nodes; fanout; prog = compile nodes; affected; dependent }
 
 (* ------------------------------------------------------------------ *)
 (* Builder                                                             *)
@@ -269,6 +293,7 @@ module Builder = struct
       fanout;
       prog = compile nodes;
       affected = compute_affected nodes fanout;
+      dependent = compute_dependent nodes fanout;
       by_name = Hashtbl.copy b.names;
       initial = None;
     }
@@ -355,6 +380,7 @@ let output_values t s = Array.map (fun o -> s.(o)) t.outputs
 
 let words t = State.words (Array.length t.nodes)
 let affected t i = t.affected.(i)
+let dependent t i = t.dependent.(i)
 
 let rec all_set a off ws ms j =
   j = Array.length ws

@@ -136,6 +136,14 @@ val affected : t -> int -> int array
     node itself if it is a gate, and the gates reading it.  Ascending,
     without duplicates. *)
 
+val dependent : t -> int -> int array
+(** The gates whose firing may not commute with the given gate's: the
+    gate itself, the gates reading it and the gates it reads.  Any
+    other excited gate stays excited when this one fires and reaches
+    the same state in either order.  Flattened (word, bits) pairs over
+    {!State} words, one pair per word holding such a gate; empty for an
+    environment node. *)
+
 val state_to_string : t -> bool array -> string
 (** One character per node, ['0'] / ['1'], in node-id order. *)
 

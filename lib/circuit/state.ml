@@ -26,8 +26,9 @@ let hash_sub a off w =
 
 let hash st = hash_sub st 0 (Array.length st)
 
-(* Top-level loops, not local closures: these run once per probe. *)
-let rec equal_from a ao b bo w j =
+(* Top-level loops, not local closures: these run once per probe.  The
+   annotation keeps [=] on ints, not the polymorphic C compare. *)
+let rec equal_from (a : int array) ao (b : int array) bo w j =
   j = w
   || a.(ao + j) = b.(bo + j) && equal_from a ao b bo w (j + 1)
 
@@ -94,7 +95,6 @@ module Set = struct
     mutable stride : int;  (* key words plus payload words *)
     mutable arena : int array;
     mutable hashes : int array;  (* per entry *)
-    mutable slot_of : int array;  (* per entry: its slot, for [clear] *)
     mutable slots : int array;  (* entry index, or -1 *)
     mutable count : int;
   }
@@ -105,15 +105,28 @@ module Set = struct
       stride = words;
       arena = Array.make (16 * words) 0;
       hashes = Array.make 16 0;
-      slot_of = Array.make 16 0;
       slots = Array.make 32 (-1);
       count = 0;
     }
 
+  (* An entry's slot, found by walking its hash chain.  Slots already
+     cleared are walked over, so entries can be cleared in any
+     order. *)
+  let rec slot_of slots m e i =
+    if Array.unsafe_get slots i = e then i
+    else slot_of slots m e ((i + 1) land m)
+
+  (* Past an eighth of the slots, one sequential fill beats a chain
+     walk per entry. *)
   let clear t =
-    for e = 0 to t.count - 1 do
-      Array.unsafe_set t.slots (Array.unsafe_get t.slot_of e) (-1)
-    done;
+    let m = Array.length t.slots - 1 in
+    if t.count * 8 > m then Array.fill t.slots 0 (m + 1) (-1)
+    else
+      for e = 0 to t.count - 1 do
+        Array.unsafe_set t.slots
+          (slot_of t.slots m e (Array.unsafe_get t.hashes e land m))
+          (-1)
+      done;
     t.count <- 0
 
   let reset ?(payload = 0) t ~words =
@@ -128,17 +141,22 @@ module Set = struct
   let stride t = t.stride
   let hash_of t e = t.hashes.(e)
 
-  let rec probe slots m arena stride key src off i =
-    let e = Array.unsafe_get slots i in
+  (* Stored hashes are compared first: most occupied slots on a chain
+     hold another key. *)
+  let rec probe t m h src off i =
+    let e = Array.unsafe_get t.slots i in
     if e < 0 then -1 - i
-    else if equal_sub arena (e * stride) src off key then e
-    else probe slots m arena stride key src off ((i + 1) land m)
+    else if
+      Array.unsafe_get t.hashes e = h
+      && equal_sub t.arena (e * t.stride) src off t.key
+    then e
+    else probe t m h src off ((i + 1) land m)
 
   (* Entry index of the key at [src.(off ..)], or [-1 - slot] of the
      free slot where it would go. *)
   let locate t h src off =
     let m = Array.length t.slots - 1 in
-    probe t.slots m t.arena t.stride t.key src off (h land m)
+    probe t m h src off (h land m)
 
   let find_sub t src off =
     let r = locate t (hash_sub src off t.key) src off in
@@ -157,20 +175,19 @@ module Set = struct
       a'
     in
     t.hashes <- extend t.hashes;
-    t.slot_of <- extend t.slot_of;
     let slots = Array.make (2 * cap) (-1) in
     let m = 2 * cap - 1 in
     for e = 0 to t.count - 1 do
       let rec free i = if slots.(i) < 0 then i else free ((i + 1) land m) in
-      let i = free (t.hashes.(e) land m) in
-      slots.(i) <- e;
-      t.slot_of.(e) <- i
+      slots.(free (t.hashes.(e) land m)) <- e
     done;
     t.slots <- slots
 
   (* The entry index; the key is fresh iff the index equals the count
-     before the call.  Copies [stride] words (key and payload). *)
-  let add_sub t src off =
+     before the call.  A fresh entry gets the first [len] words at
+     [src.(off ..)]: the key, and the payload too when [len] is the
+     stride. *)
+  let insert t src off len =
     let h = hash_sub src off t.key in
     let r = locate t h src off in
     if r >= 0 then r
@@ -183,14 +200,18 @@ module Set = struct
         end
       in
       let e = t.count in
-      let slot = -1 - r in
-      t.slots.(slot) <- e;
-      t.slot_of.(e) <- slot;
+      t.slots.(-1 - r) <- e;
       t.hashes.(e) <- h;
-      Array.blit src off t.arena (e * t.stride) t.stride;
+      let dst = e * t.stride in
+      for x = 0 to len - 1 do
+        t.arena.(dst + x) <- src.(off + x)
+      done;
       t.count <- e + 1;
       e
     end
+
+  let add_sub t src off = insert t src off t.stride
+  let add_key t src off = insert t src off t.key
 
   let add t st = add_sub t st 0
   let find t st = find_sub t st 0

@@ -10,7 +10,7 @@
     {!Set} is an open-addressing hash set over a flat int arena: each
     entry is a fixed-width key optionally followed by payload words
     (the unbounded-delay kernel keeps each frontier state's excitation
-    mask there).  Entry indices are dense and stable, so a set doubles
+    and sleep masks there).  Entry indices are dense and stable, so a set doubles
     as an intern table, and {!Set.clear} costs the number of entries,
     not the capacity — a set is meant to be reused. *)
 
@@ -67,6 +67,11 @@ module Set : sig
 
   val add_sub : t -> int array -> int -> int
   (** {!add} reading the entry from [src.(off ..)]. *)
+
+  val add_key : t -> int array -> int -> int
+  (** {!add_sub} copying only the key words: a fresh entry's payload
+      words are left as they were, for the caller to write through
+      {!arena}. *)
 
   val find : t -> state -> int
   (** Entry index, or [-1]. *)

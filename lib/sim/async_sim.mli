@@ -10,10 +10,16 @@
     each layer's frontier is a {!State.Set} whose entries carry the
     excitation mask of their state, so firing gate [g] re-evaluates
     only [g] and the gates reading it ({!Circuit.affected}), never the
-    whole netlist.  The frontier sets are per-domain scratch reused
-    across layers and calls (safe on {!Satg_pool} workers).  Every
-    function below charges its guard one transition per frontier state
-    per layer and returns states in lexicographic node order. *)
+    whole netlist.  Entries also carry a sleep mask: gates whose firing
+    from that state would only reproduce a successor that another
+    entry of the layer already produces, because the two firings
+    commute ({!Circuit.dependent}).  Asleep gates are not fired, and a
+    successor is looked up before its excitation is computed.  Each
+    layer still holds exactly the states of the exhaustive step.  The
+    frontier sets are per-domain scratch reused across layers and
+    calls (safe on {!Satg_pool} workers).  Every function below
+    charges its guard one transition per frontier state per layer and
+    returns states in lexicographic node order. *)
 
 open Satg_guard
 open Satg_circuit
@@ -95,3 +101,23 @@ val classify_vector :
     verdict.  [guard] is charged like in {!states_after}.
     @raise Invalid_argument if [s] is not stable.
     @raise Satg_guard.Guard.Exhausted when [guard] trips. *)
+
+(** {1 Kernel counters}
+
+    Work done by the layer step, counted per domain and summed over
+    every domain that has run the kernel in this process (pool workers
+    included, also after they exit). *)
+
+type stats = {
+  probes : int;  (** successor lookups in a next frontier *)
+  fresh : int;  (** lookups that added a new entry *)
+  sleep_pruned : int;  (** fireable gates not fired because asleep *)
+}
+
+val stats : unit -> stats
+
+val reset_stats : unit -> unit
+(** Zero every domain's counters.  Meant for when no kernel call is
+    running. *)
+
+val pp_stats : Format.formatter -> stats -> unit

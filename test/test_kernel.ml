@@ -29,17 +29,18 @@ let kinds =
       Sop (Cover.empty 1);
     |]
 
-let gen_gate =
+(* [max_fanin] caps the variable arities (a MUX always reads 3). *)
+let gen_gate ~max_fanin =
   let open QCheck.Gen in
   let* kind = int_bound (Array.length kinds - 1) in
   let* n_picks =
     match kinds.(kind) with
     | Buf | Not -> return 1
     | Mux -> return 3
-    | Celem -> int_range 2 3
+    | Celem -> int_range 2 (max 2 (min 3 max_fanin))
     | Const _ -> return 0
-    | Sop _ -> int_range 1 3
-    | And | Or | Nand | Nor | Xor | Xnor -> int_range 1 4
+    | Sop _ -> int_range 1 (min 3 max_fanin)
+    | And | Or | Nand | Nor | Xor | Xnor -> int_range 1 (min 4 max_fanin)
   in
   let* picks = list_size (return n_picks) (int_bound 1000) in
   let* cubes =
@@ -52,7 +53,15 @@ let gen_gate =
 let gen_spec =
   let open QCheck.Gen in
   let* n_inputs = int_range 1 3 in
-  let* gates = list_size (int_range 1 8) gen_gate in
+  let* gates = list_size (int_range 1 8) (gen_gate ~max_fanin:4) in
+  return { n_inputs; gates }
+
+(* Wide and sparse: many excited gates that do not read each other, so
+   most interleavings commute and the sleep sets prune. *)
+let gen_wide_spec =
+  let open QCheck.Gen in
+  let* n_inputs = int_range 1 3 in
+  let* gates = list_size (int_range 6 16) (gen_gate ~max_fanin:2) in
   return { n_inputs; gates }
 
 let build spec =
@@ -84,8 +93,9 @@ let build spec =
   List.iter (Circuit.Builder.mark_output b) ids;
   Circuit.Builder.finalize b
 
-let spec_arb =
-  QCheck.make gen_spec ~print:(fun spec -> Parser.to_string (build spec))
+let print_spec spec = Parser.to_string (build spec)
+let spec_arb = QCheck.make gen_spec ~print:print_spec
+let wide_arb = QCheck.make gen_wide_spec ~print:print_spec
 
 (* A random (generally unstable) state from a seed. *)
 let state_of_seed c seed =
@@ -158,7 +168,8 @@ let vectors c =
 (* --- properties -------------------------------------------------------- *)
 
 let prop_eval =
-  QCheck.Test.make ~name:"compiled gate program = eval_gate" ~count:300
+  QCheck.Test.make ~long_factor:10 ~name:"compiled gate program = eval_gate"
+    ~count:300
     QCheck.(pair spec_arb (int_bound 100_000))
     (fun (spec, seed) ->
       let c = build spec in
@@ -176,7 +187,7 @@ let budget_gen = QCheck.Gen.(opt ~ratio:0.5 (int_bound 60))
 let frontier_gen = QCheck.Gen.(opt ~ratio:0.6 (int_range 1 12))
 
 let prop_states_after =
-  QCheck.Test.make
+  QCheck.Test.make ~long_factor:10
     ~name:"states_after = reference (order, guard, limits, hold)" ~count:400
     QCheck.(
       pair spec_arb
@@ -195,7 +206,7 @@ let prop_states_after =
         (state_of_seed c seed))
 
 let prop_settle =
-  QCheck.Test.make ~name:"settle = reference" ~count:300
+  QCheck.Test.make ~long_factor:10 ~name:"settle = reference" ~count:300
     QCheck.(triple spec_arb (int_bound 100_000) (int_bound 30))
     (fun (spec, seed, max_steps) ->
       let c = build spec in
@@ -203,8 +214,8 @@ let prop_settle =
       Async_sim.settle c ~max_steps s = Ref_async.settle c ~max_steps s)
 
 let prop_classify =
-  QCheck.Test.make ~name:"classify_vector and apply_vector = reference"
-    ~count:300
+  QCheck.Test.make ~long_factor:10
+    ~name:"classify_vector and apply_vector = reference" ~count:300
     QCheck.(
       pair spec_arb
         (make
@@ -233,6 +244,143 @@ let prop_classify =
             in
             Async_sim.apply_vector c ~k s v = expected)
           (vectors c))
+
+(* --- wide netlists: the sleep sets prune, the layers must not move -------- *)
+
+let prop_wide_layers =
+  QCheck.Test.make ~long_factor:10
+    ~name:"wide netlists: states_after = reference at every layer" ~count:300
+    QCheck.(
+      pair wide_arb
+        (make
+           Gen.(
+             quad (int_bound 100_000) (int_bound 10)
+               (pair (int_range 8 400) budget_gen)
+               (opt (pair (int_bound 1000) bool)))))
+    (fun (spec, (seed, k, (max_frontier, budget), hold)) ->
+      let c = build spec in
+      let gates = Circuit.gates c in
+      let hold =
+        Option.map (fun (p, v) -> (gates.(p mod Array.length gates), v)) hold
+      in
+      let s = state_of_seed c seed in
+      List.for_all
+        (fun k -> states_after_agree ~max_frontier ?hold ~budget c ~k s)
+        (List.init (k + 1) Fun.id))
+
+let prop_wide_classify =
+  QCheck.Test.make ~long_factor:10
+    ~name:"wide netlists: classify_vector = reference" ~count:200
+    QCheck.(
+      pair wide_arb
+        (make
+           Gen.(triple (int_bound 100_000) (int_range 1 16) (int_range 8 400))))
+    (fun (spec, (seed, k, max_frontier)) ->
+      let c = build spec in
+      match Ref_async.settle c ~max_steps:64 (state_of_seed c seed) with
+      | None -> QCheck.assume_fail ()
+      | Some s ->
+        List.for_all
+          (fun v -> classify_agree ~max_frontier ~budget:None c ~k s v)
+          (vectors c))
+
+(* Eight independent buffer chains (input buffer, then an output
+   buffer), all started at once: every interleaving commutes.  An
+   exhaustive step probes the next frontier once per fireable gate of
+   every state (once for a stable one); the sleep sets must probe at
+   most half as often, or the reduction has been switched off. *)
+let test_probes_drop () =
+  let b = Circuit.Builder.create "farm" in
+  for i = 0 to 7 do
+    let x = Circuit.Builder.add_input b (Printf.sprintf "x%d" i) in
+    Circuit.Builder.mark_output b
+      (Circuit.Builder.add_gate b ~name:(Printf.sprintf "y%d" i) Gatefunc.Buf
+         [ x ])
+  done;
+  let c = Circuit.Builder.finalize b in
+  let s1 =
+    Circuit.apply_input_vector c
+      (Array.make (Circuit.n_nodes c) false)
+      (Array.make 8 true)
+  in
+  let k = 20 in
+  let fireable s = List.length (Ref_async.fireable c None s) in
+  (* (probes of an exhaustive step, layers stepped) *)
+  let rec exhaustive i acc =
+    let layer = Ref_async.states_after c ~k:i s1 in
+    if i >= k || List.for_all (fun s -> fireable s = 0) layer then (acc, i)
+    else
+      exhaustive (i + 1)
+        (List.fold_left (fun acc s -> acc + max 1 (fireable s)) acc layer)
+  in
+  let exhaustive, layers = exhaustive 0 0 in
+  Async_sim.reset_stats ();
+  let got = Async_sim.states_after c ~k s1 in
+  let st = Async_sim.stats () in
+  Alcotest.(check string) "final layer"
+    (render (Ref_async.states_after c ~k s1))
+    (render got);
+  if st.probes * 2 > exhaustive then
+    Alcotest.failf "%d successor probes, an exhaustive step makes %d" st.probes
+      exhaustive;
+  (* Every firing commutes, so each state of each later layer is
+     reached along exactly one interleaving. *)
+  let widths =
+    List.fold_left ( + ) 0
+      (List.init layers (fun i ->
+           List.length (Ref_async.states_after c ~k:(i + 1) s1)))
+  in
+  Alcotest.(check int) "every probe fresh" st.probes st.fresh;
+  Alcotest.(check int) "one probe per state of each later layer" widths
+    st.probes
+
+(* The counters are per domain and summed over all of them: a parallel
+   build counts the same work as a sequential one, also after its pool
+   workers have exited. *)
+let test_counters_summed () =
+  let b = Circuit.Builder.create "farm4" in
+  for i = 0 to 3 do
+    let x = Circuit.Builder.add_input b (Printf.sprintf "x%d" i) in
+    Circuit.Builder.mark_output b
+      (Circuit.Builder.add_gate b ~name:(Printf.sprintf "y%d" i) Gatefunc.Buf
+         [ x ])
+  done;
+  let c = Circuit.Builder.finalize b in
+  let c = Circuit.with_initial c (Array.make (Circuit.n_nodes c) false) in
+  let counted build =
+    Async_sim.reset_stats ();
+    let g = build () in
+    (Satg_sg.Cssg.n_states g, Async_sim.stats ())
+  in
+  let seq = counted (fun () -> Satg_sg.Explicit.build c) in
+  let par =
+    counted (fun () ->
+        Satg_pool.Pool.with_pool ~jobs:2 (fun pool ->
+            Satg_sg.Explicit.build_par ~pool c))
+  in
+  let show (n, (st : Async_sim.stats)) =
+    Printf.sprintf "%d states, %d probes, %d fresh, %d pruned" n st.probes
+      st.fresh st.sleep_pruned
+  in
+  Alcotest.(check string) "-j2 = sequential" (show seq) (show par);
+  Alcotest.(check bool) "work counted" true ((snd seq).probes > 0)
+
+(* A directed netlist for the merge rule of the sleep sets (see the
+   header of [corpus/sleep_merge.cct]): every layer must equal the
+   reference. *)
+let test_sleep_merge () =
+  let c =
+    match Parser.parse_file "corpus/sleep_merge.cct" with
+    | Ok c -> c
+    | Error e -> failwith e
+  in
+  let s = Ref_async.state_of_key "010011" in
+  for k = 0 to 12 do
+    Alcotest.(check string)
+      (Printf.sprintf "layer %d" k)
+      (render (Ref_async.states_after c ~k s))
+      (render (Async_sim.states_after c ~k s))
+  done
 
 (* --- a two-word netlist: latch-8, redundant covers (108 nodes) ------------ *)
 
@@ -292,8 +440,20 @@ let suites =
   [
     ( "kernel",
       List.map QCheck_alcotest.to_alcotest
-        [ prop_eval; prop_states_after; prop_settle; prop_classify ]
+        [
+          prop_eval;
+          prop_states_after;
+          prop_settle;
+          prop_classify;
+          prop_wide_layers;
+          prop_wide_classify;
+        ]
       @ [
+          Alcotest.test_case "sleep sets cut the probes" `Quick test_probes_drop;
+          Alcotest.test_case "sleep-mask merge (directed netlist)" `Quick
+            test_sleep_merge;
+          Alcotest.test_case "counters summed over domains" `Quick
+            test_counters_summed;
           Alcotest.test_case "latch-8 redundant (two words)" `Quick test_latch8;
           Alcotest.test_case "delay-fault hold" `Quick test_hold;
         ] );
